@@ -26,8 +26,12 @@ class LeopardConfig:
         bftblock_max_links: τ — max datablock links per BFTblock.
         max_parallel_instances: k — parallel agreement instances bound
             (watermark window; PBFT-style, §IV-A2).
-        generation_interval: how often a replica checks whether to cut a
-            new datablock.
+        generation_interval: grid for cut times — a replica cuts
+            datablocks only on the instants ``boot + k·generation_interval``.
+            The tick runs only while generation waits on time (a partial
+            batch not yet overdue, NIC backlog); it parks while an event
+            must open the gate (window full, empty mempool, leader,
+            view-change) and the event wakes it on the same grid.
         max_batch_delay: cut a partial datablock if the oldest pending
             request has waited this long (latency guard).
         max_backlog: NIC backpressure — pause datablock generation while
@@ -39,7 +43,9 @@ class LeopardConfig:
             instead of unboundedly deep receive queues).  The default (-1)
             auto-scales as max(1, ceil(32/(n-1))): with many generators a
             smaller per-replica window keeps the same pipeline depth.
-        proposal_interval: leader's BFTblock proposal tick.
+        proposal_interval: grid for the leader's BFTblock proposal
+            times.  A non-leader's tick parks until a view makes it leader,
+            then resumes on the same grid.
         max_proposal_delay: the leader proposes once τ links are ready or
             once the oldest ready link has waited this long — the batching
             that amortizes vote processing (Fig. 7, Table II).

@@ -115,6 +115,12 @@ class LeopardReplica:
         self.vc_triggered_at: float | None = None
         self.vc_entered_at: float | None = None
         self._ready_since: float | None = None
+        # Parked ticks: the grid time of the ``gen``/``propose`` fire that
+        # found its gate shut by a condition only an event can change.
+        # The tick stays disarmed until that event, then resumes on the
+        # same grid (:meth:`_grid_delay`).
+        self._gen_parked_at: float | None = None
+        self._propose_parked_at: float | None = None
         # Adaptive retrieval timer (the paper: "the timer can be
         # adaptively set based on past network profiling"): an EWMA of
         # observed datablock delivery delay, so saturation-era queueing
@@ -169,7 +175,20 @@ class LeopardReplica:
         return effects
 
     def on_timer(self, key: Hashable, now: float) -> list[Effect]:
-        """Dispatch a timer firing."""
+        """Dispatch a timer firing, then wake a parked ``gen`` tick."""
+        effects = self._dispatch_timer(key, now)
+        if self._gen_parked_at is not None and self._gen_unblocked():
+            effects.append(self._wake_gen(now))
+        return effects
+
+    def on_message(self, sender: int, msg, now: float) -> list[Effect]:
+        """Dispatch one delivered message, then wake a parked ``gen`` tick."""
+        effects = self._dispatch_message(sender, msg, now)
+        if self._gen_parked_at is not None and self._gen_unblocked():
+            effects.append(self._wake_gen(now))
+        return effects
+
+    def _dispatch_timer(self, key: Hashable, now: float) -> list[Effect]:
         if key == "gen":
             return self._on_gen_timer(now)
         if key == "propose":
@@ -182,8 +201,8 @@ class LeopardReplica:
             return self.recovery.on_timer(key, now)
         return []
 
-    def on_message(self, sender: int, msg, now: float) -> list[Effect]:
-        """Dispatch one delivered message by type."""
+    def _dispatch_message(self, sender: int, msg, now: float
+                          ) -> list[Effect]:
         if isinstance(msg, Datablock):
             return self._on_datablock(sender, msg, now)
         if isinstance(msg, RequestBundle):
@@ -273,12 +292,44 @@ class LeopardReplica:
         self.mempool.add_bundle(bundle)
         return []
 
+    @staticmethod
+    def _grid_delay(parked_at: float, interval: float, now: float) -> float:
+        """Delay from ``now`` to the first tick after it on a parked grid.
+
+        Steps ``parked_at`` by ``interval`` exactly as a host re-arming
+        every fire computes ``fire + interval``, so a woken tick fires on
+        the instant the polling tick would have.  ``tick - now`` is exact
+        (Sterbenz: ``now < tick <= 2 * now`` once ``now >= interval``), so
+        the host's ``now + delay`` lands on the grid bit for bit.
+        """
+        tick = parked_at
+        while tick <= now:
+            tick += interval
+        return tick - now
+
+    def _gen_unblocked(self) -> bool:
+        """The event-driven generation gates are open.
+
+        Each can only change on a message or timer: the own-datablock
+        window, an empty mempool, leadership and view-change.  The
+        time-driven gates (a partial batch not yet overdue, NIC backlog)
+        are re-checked by polling.
+        """
+        return (len(self._own_unexecuted)
+                < self.config.max_outstanding_datablocks
+                and self.mempool.total_requests > 0
+                and not self.vc.in_viewchange
+                and not self.is_leader)
+
+    def _wake_gen(self, now: float) -> SetTimer:
+        delay = self._grid_delay(self._gen_parked_at,
+                                 self.config.generation_interval, now)
+        self._gen_parked_at = None
+        return SetTimer("gen", delay)
+
     def _on_gen_timer(self, now: float) -> list[Effect]:
-        effects: list[Effect] = [
-            SetTimer("gen", self.config.generation_interval)]
-        if self.is_leader or not self.normal_mode:
-            return effects
-        while self.mempool.total_requests > 0:
+        effects: list[Effect] = []
+        while self._gen_unblocked():
             full = self.mempool.total_requests >= self.config.datablock_size
             oldest = self.mempool.oldest_submission()
             overdue = (oldest is not None
@@ -287,11 +338,12 @@ class LeopardReplica:
                 break
             if self.backlog_probe() > self.config.max_backlog:
                 break
-            if (len(self._own_unexecuted)
-                    >= self.config.max_outstanding_datablocks):
-                break
             effects.extend(self._generate_datablock(now))
-        return effects
+        if not self._gen_unblocked():
+            # Only an event can reopen the gate: park until it does.
+            self._gen_parked_at = now
+            return effects
+        return [SetTimer("gen", self.config.generation_interval), *effects]
 
     def _generate_datablock(self, now: float) -> list[Effect]:
         spans = self.mempool.take(self.config.datablock_size)
@@ -363,9 +415,13 @@ class LeopardReplica:
     # ------------------------------------------------------------------
 
     def _on_propose_timer(self, now: float) -> list[Effect]:
+        if not self.is_leader:
+            # Re-armed on its grid when a view makes us leader.
+            self._propose_parked_at = now
+            return []
         effects: list[Effect] = [
             SetTimer("propose", self.config.proposal_interval)]
-        if not self.is_leader or not self.normal_mode:
+        if not self.normal_mode:
             return effects
         if self.ready.ready_count == 0:
             self._ready_since = None
@@ -818,4 +874,9 @@ class LeopardReplica:
                 effects.append(Send(
                     self.current_leader, Ready(block_digest)))
         effects.append(SetTimer("progress", self.config.progress_timeout))
+        if self.is_leader and self._propose_parked_at is not None:
+            effects.append(SetTimer("propose", self._grid_delay(
+                self._propose_parked_at, self.config.proposal_interval,
+                now)))
+            self._propose_parked_at = None
         return effects

@@ -253,11 +253,14 @@ class SimNode:
             return
         effects = self.core.on_timer(key, self.queue._now)
         # Recurring-tick fast path: an *honest* core that answers its
-        # own timer with exactly one re-arm of the same key (the
-        # generation / proposal / progress heartbeat pattern, the bulk
-        # of all timer traffic at paper scale) skips the full effect
-        # interpreter.  Faulty nodes always go through ``_apply`` so
-        # time-dependent behaviours (``Crash``) see every tick.
+        # own timer with exactly one re-arm of the same key (a Leopard
+        # ``gen`` tick polling a partial batch or NIC backlog, the
+        # leader's ``propose`` tick, ``progress``, PBFT's proposal tick)
+        # skips the full effect interpreter.  Idle Leopard ``gen`` and
+        # non-leader ``propose`` ticks do not come here: they park (empty
+        # answer) and the core re-arms them from a message later.  Faulty
+        # nodes always go through ``_apply`` so time-dependent behaviours
+        # (``Crash``) see every tick.
         if self.batched and self._honest and len(effects) == 1:
             effect = effects[0]
             if (type(effect) is SetTimer and effect.key == key

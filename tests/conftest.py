@@ -8,6 +8,11 @@ from repro.core.config import LeopardConfig
 from repro.crypto.keys import KeyRegistry
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: long-running test (examples, full grids)")
+
+
 @pytest.fixture(scope="session")
 def registry4() -> KeyRegistry:
     """A dealt key registry for n=4, f=1 (session-cached: dealing is slow)."""

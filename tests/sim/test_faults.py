@@ -134,6 +134,23 @@ class TestDelaySend:
         assert not DelaySend(delay=0.05).drop_incoming(0, Msg("vote"), 0.0)
 
 
+@pytest.mark.parametrize("fault", [
+    HONEST,
+    Crash(at=5.0),
+    SelectiveDisseminator(frozenset({0, 1})),
+    Mute(frozenset({"vote"})),
+    DelaySend(delay=0.05),
+    Combined((Mute(frozenset({"vote"})), DelaySend(delay=0.05))),
+], ids=["honest", "crash-later", "selective", "mute", "delay", "combined"])
+def test_timer_rides_through_message_rewrites(fault):
+    """A core re-arms a parked tick in the same effect list as the
+    messages it answers with; behaviours rewrite only the messages."""
+    wake = SetTimer("gen", 0.0013)
+    effects = fault.filter_effects([Send(1, Msg("vote")), wake], 1.0)
+    assert [e for e in effects if not isinstance(e, (Send, Delayed))] \
+        == [wake]
+
+
 class TestFaultSpecs:
     @pytest.mark.parametrize("fault", [
         Crash(at=2.5),
